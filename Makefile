@@ -134,6 +134,10 @@ ci:
 	dune exec bin/lfs_tool.exe -- serve --clients 16 --ops 50 --seed 42 --fs lfs:heads=2 --bg-clean --json --check > ci-heads-bg-b.json
 	cmp ci-heads-bg-a.json ci-heads-bg-b.json
 	rm -f ci-heads-a.json ci-heads-b.json ci-heads-bg-a.json ci-heads-bg-b.json
+	# Benchmark harness smoke: build perfbench/lfsbench.exe and run its
+	# watchdog self-test, so the declared benchmark cannot rot between
+	# full runs.
+	python3 perfbench/run.py --selftest
 
 clean:
 	dune clean

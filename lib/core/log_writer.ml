@@ -104,19 +104,21 @@ let head_stats t i =
 let render = function Bytes b -> b | Lazy f -> f ()
 
 (* Write one head's queued batch (summary + payloads) as one sequential
-   IO. *)
+   IO.  The batch is assembled in a single buffer: each payload is
+   rendered into its slot, the payload checksum is taken in place, and
+   the summary is encoded into block 0. *)
 let sync_head t i =
   let h = t.heads.(i) in
   if h.batch_count > 0 then begin
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
-    let payload = Bytes.create (h.batch_count * bs) in
+    let buf = Bytes.create ((h.batch_count + 1) * bs) in
     List.iteri
       (fun k p ->
         let b = render p.payload in
         if Bytes.length b <> bs then
           invalid_arg "Log_writer: payload is not exactly one block";
-        Bytes.blit b 0 payload (k * bs) bs)
+        Bytes.blit b 0 buf ((k + 1) * bs) bs)
       pendings;
     let entries =
       List.map
@@ -130,21 +132,17 @@ let sync_head t i =
           })
         pendings
     in
-    let summary =
+    Summary.encode_into ~block_size:bs
       {
         Summary.seq = t.seq;
         seg = h.cur_seg;
         slot = h.batch_slot;
         next_seg = h.next_seg;
         timestamp = h.timestamp;
-        payload_sum = Summary.payload_checksum payload;
+        payload_sum = Summary.payload_checksum ~pos:bs buf;
         entries;
       }
-    in
-    let sum_block = Summary.encode ~block_size:bs summary in
-    let buf = Bytes.create ((h.batch_count + 1) * bs) in
-    Bytes.blit sum_block 0 buf 0 bs;
-    Bytes.blit payload 0 buf bs (Bytes.length payload);
+      buf;
     let addr = Layout.seg_first_block t.layout h.cur_seg + h.batch_slot in
     (* Submit the batch as one tagged sequential transfer.  Under Direct
        mode this services immediately (the historical behaviour); under

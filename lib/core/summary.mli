@@ -32,16 +32,22 @@ type t = {
 val max_entries : block_size:int -> int
 (** How many payload blocks one summary block can describe. *)
 
+val encode_into : block_size:int -> t -> bytes -> unit
+(** Overwrite the first [block_size] bytes of the buffer with the
+    summary block, leaving the rest untouched (the batch writer encodes
+    straight into block 0 of the batch buffer).  Raises
+    [Invalid_argument] if there are more entries than {!max_entries}. *)
+
 val encode : block_size:int -> t -> bytes
-(** Raises [Invalid_argument] if there are more entries than
-    {!max_entries}. *)
+(** The summary block as a fresh buffer; see {!encode_into}. *)
 
 val decode : bytes -> t option
 (** [None] when the block is not a valid summary (bad magic or header
     checksum) — the normal way a log scan terminates. *)
 
-val payload_checksum : bytes -> int
-(** Checksum to store in / compare against [payload_sum]. *)
+val payload_checksum : ?pos:int -> bytes -> int
+(** Checksum to store in / compare against [payload_sum]: the Adler-32
+    of the buffer from [pos] (default 0) to its end. *)
 
 val entry_addr : t -> Layout.t -> int -> Types.baddr
 (** Disk address of payload block [i] of this summary. *)

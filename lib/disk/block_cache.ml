@@ -82,7 +82,7 @@ let read t ~fetch addr =
       insert t addr (Bytes.copy b);
       b
 
-let put t addr data = insert t addr (Bytes.copy data)
+let put t addr data = insert t addr data
 
 let invalidate t addr =
   match Hashtbl.find_opt t.table addr with

@@ -23,7 +23,9 @@ val read_range :
     costs one device IO; fetched blocks populate the cache. *)
 
 val put : t -> int -> bytes -> unit
-(** Record the new contents of a block just written. *)
+(** Record the new contents of a block just written.  The cache takes
+    ownership of the buffer and keeps it as the entry without copying:
+    the caller must not mutate it afterwards. *)
 
 val invalidate : t -> int -> unit
 val invalidate_range : t -> int -> int -> unit

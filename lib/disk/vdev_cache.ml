@@ -24,6 +24,8 @@ let make_view lower cache name =
        survives in the cache. *)
     Block_cache.invalidate_range cache addr n;
     let tk = Vdev.submit_write ?now lower addr b in
+    (* One copy per block, owned by the cache from here on: the caller
+       keeps [b] and may reuse it. *)
     for i = 0 to n - 1 do
       Block_cache.put cache (addr + i) (Bytes.sub b (i * bs) bs)
     done;

@@ -4,6 +4,7 @@
 
 val adler32 : ?pos:int -> ?len:int -> bytes -> int32
 (** Checksum of [len] bytes of [b] starting at [pos] (defaults: whole
-    buffer). *)
+    buffer).  Raises [Invalid_argument] unless [pos >= 0], [len >= 0]
+    and [pos + len <= Bytes.length b]. *)
 
 val adler32_string : string -> int32

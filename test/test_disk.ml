@@ -289,6 +289,28 @@ let test_vdev_cache_range_reads () =
   Alcotest.(check int) "cold range misses" 5 (Lfs_disk.Vdev_cache.misses cache);
   Alcotest.(check int) "one lower IO" (reads0 + 1) (Disk.stats d).Io_stats.reads
 
+(* The cache keeps its own copy of written blocks: a caller reusing its
+   write buffer must not change what a cached read returns. *)
+let test_vdev_cache_write_not_aliased () =
+  let d = Disk.create wren in
+  let cache = Lfs_disk.Vdev_cache.create ~capacity:16 (Lfs_disk.Vdev.of_disk d) in
+  let dev = Lfs_disk.Vdev_cache.vdev cache in
+  let data = Helpers.bytes_of_pattern ~seed:5 (3 * 4096) in
+  let buf = Bytes.copy data in
+  Lfs_disk.Vdev.write_blocks dev 40 buf;
+  Bytes.fill buf 0 (Bytes.length buf) 'X';
+  Helpers.check_bytes "cached read after caller mutation" data
+    (Lfs_disk.Vdev.read_blocks dev 40 3);
+  Helpers.check_bytes "single-block cached read" (Bytes.sub data 4096 4096)
+    (Lfs_disk.Vdev.read_block dev 41);
+  let one = Bytes.make 4096 'o' in
+  Lfs_disk.Vdev.write_block dev 50 one;
+  Bytes.fill one 0 4096 'Y';
+  Helpers.check_bytes "single-block write" (Bytes.make 4096 'o')
+    (Lfs_disk.Vdev.read_block dev 50);
+  Alcotest.(check int) "served from the cache" 5 (Lfs_disk.Vdev_cache.hits cache);
+  Alcotest.(check int) "no misses" 0 (Lfs_disk.Vdev_cache.misses cache)
+
 let test_geometry_capacity () =
   Alcotest.(check int) "capacity" (256 * 4096)
     (Geometry.capacity_bytes (Geometry.wren_iv ~blocks:256))
@@ -471,6 +493,7 @@ let suite =
       Alcotest.test_case "range read coalesces" `Quick test_cache_read_range_coalesces;
       Alcotest.test_case "range read partial overlap" `Quick test_cache_read_range_partial_overlap;
       Alcotest.test_case "vdev cache range reads" `Quick test_vdev_cache_range_reads;
+      Alcotest.test_case "vdev cache write not aliased" `Quick test_vdev_cache_write_not_aliased;
       Alcotest.test_case "geometry presets" `Quick test_geometry_presets;
       Alcotest.test_case "geometry capacity" `Quick test_geometry_capacity;
       Alcotest.test_case "random seek averages" `Quick test_random_seek_averages_avg;

@@ -22,4 +22,5 @@ let () =
       Test_model.suite;
       Test_shard.suite;
       Test_server.suite;
+      Test_golden.suite;
     ]

@@ -150,6 +150,43 @@ let test_checksum_range () =
   Alcotest.(check bool) "range differs from whole" false (whole = part);
   Alcotest.(check int32) "range stable" part (Checksum.adler32 ~pos:10 ~len:50 b)
 
+(* Byte-at-a-time Adler-32 (RFC 1950), reducing after every byte: the
+   reference the deferred-modulo implementation must agree with. *)
+let adler32_reference b pos len =
+  let a = ref 1 and s = ref 0 in
+  for i = pos to pos + len - 1 do
+    a := (!a + Char.code (Bytes.get b i)) mod 65521;
+    s := (!s + !a) mod 65521
+  done;
+  Int32.logor (Int32.shift_left (Int32.of_int !s) 16) (Int32.of_int !a)
+
+let test_checksum_known_vector () =
+  Alcotest.(check int32) "Wikipedia" 0x11E60398l (Checksum.adler32_string "Wikipedia");
+  Alcotest.(check int32) "empty" 1l (Checksum.adler32_string "")
+
+(* All-0xFF maximises both running sums, so this is where a chunk one
+   byte too long would overflow 32 bits (and where zlib's NMAX bound is
+   tight). *)
+let test_checksum_all_ff () =
+  let b = Bytes.make ((3 * 5552) + 17) '\xff' in
+  Alcotest.(check int32) "whole" (adler32_reference b 0 (Bytes.length b)) (Checksum.adler32 b);
+  Alcotest.(check int32) "offset" (adler32_reference b 3 (2 * 5552 + 1))
+    (Checksum.adler32 ~pos:3 ~len:((2 * 5552) + 1) b)
+
+let test_checksum_bounds () =
+  let b = Bytes.make 16 'x' in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative pos" (fun () -> Checksum.adler32 ~pos:(-1) ~len:4 b);
+  raises "negative len" (fun () -> Checksum.adler32 ~pos:0 ~len:(-1) b);
+  raises "past end" (fun () -> Checksum.adler32 ~pos:10 ~len:7 b);
+  raises "pos past end" (fun () -> Checksum.adler32 ~pos:17 b);
+  raises "overflowing range" (fun () -> Checksum.adler32 ~pos:8 ~len:max_int b);
+  Alcotest.(check int32) "empty range at end" 1l (Checksum.adler32 ~pos:16 b)
+
 let test_plot_renders () =
   let s =
     Lfs_util.Plot.render ~title:"t"
@@ -163,6 +200,20 @@ let test_plot_empty_series () =
   Alcotest.(check bool) "renders without crash" true (String.length s > 0)
 
 (* Property tests. *)
+
+let prop_adler32_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"adler32 = byte-at-a-time reference"
+    QCheck.(
+      triple
+        (string_of_size (Gen.int_bound ((3 * 5552) + 17)))
+        (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
+    (fun (s, fp, fl) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let pos = int_of_float (fp *. float_of_int n) in
+      let len = int_of_float (fl *. float_of_int (n - pos)) in
+      Checksum.adler32 ~pos ~len b = adler32_reference b pos len
+      && Checksum.adler32 b = adler32_reference b 0 n)
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~count:200 ~name:"bytes_codec roundtrip"
@@ -294,11 +345,15 @@ let suite =
       Alcotest.test_case "checksum stable" `Quick test_checksum_stable;
       Alcotest.test_case "checksum differs" `Quick test_checksum_differs;
       Alcotest.test_case "checksum range" `Quick test_checksum_range;
+      Alcotest.test_case "checksum known vector" `Quick test_checksum_known_vector;
+      Alcotest.test_case "checksum all 0xFF" `Quick test_checksum_all_ff;
+      Alcotest.test_case "checksum bounds" `Quick test_checksum_bounds;
       Alcotest.test_case "plot renders" `Quick test_plot_renders;
       Alcotest.test_case "plot empty series" `Quick test_plot_empty_series;
       Alcotest.test_case "io_stats merge zero" `Quick test_io_stats_merge_zero;
       Alcotest.test_case "io_stats reset" `Quick test_io_stats_reset;
       QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+      QCheck_alcotest.to_alcotest prop_adler32_matches_reference;
       QCheck_alcotest.to_alcotest prop_codec_overflow;
       QCheck_alcotest.to_alcotest prop_percentile_bounds;
       QCheck_alcotest.to_alcotest prop_io_stats_copy_independent;
