@@ -139,7 +139,14 @@ ci:
 	# full runs.
 	python3 perfbench/run.py --selftest
 
+# Output parity against another source tree (e.g. the parent commit,
+# unpacked with `git archive <commit> | tar x -C <dir>`): every output of
+# a fixed command list must be byte-identical.
+parity:
+	@test -n "$(PARENT)" || { echo "usage: make parity PARENT=<dir>" >&2; exit 2; }
+	scripts/parity.sh "$(PARENT)"
+
 clean:
 	dune clean
 
-.PHONY: all test bench bench-quick micro examples verify ci clean
+.PHONY: all test bench bench-quick micro examples verify ci parity clean

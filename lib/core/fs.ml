@@ -576,7 +576,8 @@ let clean_stop_effective t =
 
 (* Parse every log write found in a victim segment's in-memory image.
    Stale summaries from a previous life of the segment may survive here;
-   the entries they describe simply fail the liveness checks. *)
+   the entries they describe simply fail the liveness checks.  Each
+   payload is a [(buf, offset)] slice of the image, not a copy. *)
 let parse_segment_image t ~seg buf =
   let bs = block_size t in
   let seg_blocks = t.layout.Layout.seg_blocks in
@@ -595,8 +596,7 @@ let parse_segment_image t ~seg buf =
               List.iteri
                 (fun i e ->
                   let addr = Layout.seg_first_block t.layout seg + slot + 1 + i in
-                  let payload = Bytes.sub buf ((slot + 1 + i) * bs) bs in
-                  results := (e, addr, payload) :: !results)
+                  results := (e, addr, (buf, (slot + 1 + i) * bs)) :: !results)
                 s.Summary.entries;
               walk (Summary.next_slot s)
             end
@@ -610,7 +610,8 @@ let parse_segment_image t ~seg buf =
    one ranged read each.  Runs contain exactly the requested blocks (no
    dead filler), so the read accounting still reflects "just the live
    blocks"; going through [t.dev] keeps the block cache coherent and
-   lets already-cached blocks satisfy part of a run. *)
+   lets already-cached blocks satisfy part of a run.  Each block is
+   kept as a [(run buffer, offset)] slice. *)
 let prefetch_runs t ~prefetched addrs =
   let addrs =
     List.sort_uniq compare
@@ -621,7 +622,7 @@ let prefetch_runs t ~prefetched addrs =
     Fs_stats.note_segment_read t.stats ~blocks:len;
     let buf = Vdev.read_blocks t.dev first len in
     for i = 0 to len - 1 do
-      Hashtbl.replace prefetched (first + i) (Bytes.sub buf (i * bs) bs)
+      Hashtbl.replace prefetched (first + i) (buf, i * bs)
     done
   in
   let rec go = function
@@ -666,7 +667,7 @@ let parse_segment_chain_live t ~prefetched ~seg =
                     | Some b -> b
                     | None ->
                         Fs_stats.note_segment_read t.stats ~blocks:1;
-                        Vdev.read_block t.dev addr
+                        (Vdev.read_block t.dev addr, 0)
                   in
                   results := (e, addr, payload) :: !results)
                 su.Summary.entries;
@@ -683,9 +684,11 @@ type live_item =
       ino : Types.ino;
       blockno : int;
       version : int;
-      payload : unit -> bytes;
-          (** whole-segment cleaning hands out a slice of the segment
-              image; live-blocks cleaning reads the block on demand *)
+      payload : unit -> bytes * int;
+          (** the block as a [(buffer, offset)] slice: whole-segment
+              cleaning hands out a slice of the segment image;
+              live-blocks cleaning a slice of a prefetched run, or reads
+              the block on demand *)
       mtime : float;
     }
   | Live_indirect of { ino : Types.ino; sblockno : int }
@@ -730,7 +733,10 @@ let classify_live t (e : Summary.entry) addr payload =
       end
       else []
   | Types.Inode_block ->
-      let payload = payload () in
+      let payload =
+        let b, off = payload () in
+        Bytes.sub b off t.layout.Layout.block_size
+      in
       let acc = ref [] in
       for slot = 0 to t.layout.Layout.inodes_per_block - 1 do
         match Inode.decode payload ~slot with
@@ -766,9 +772,10 @@ let relocate_item t item =
   | Live_data { ino; blockno; version; payload; mtime } ->
       let h = get_handle t ino in
       let old = Filemap.get h.fmap blockno in
+      let b, off = payload () in
       let addr =
         append_block t ~kind:Types.Data ~ino ~blockno ~version ~mtime
-          (Log_writer.Bytes (payload ()))
+          (Log_writer.Slice (b, off))
       in
       Filemap.set h.fmap blockno addr;
       h.inode_dirty <- true;

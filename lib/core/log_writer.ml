@@ -1,7 +1,7 @@
 module Vdev = Lfs_disk.Vdev
 module Io_queue = Lfs_disk.Io_queue
 
-type payload = Bytes of bytes | Lazy of (unit -> bytes)
+type payload = Bytes of bytes | Slice of bytes * int | Lazy of (unit -> bytes)
 
 type pending = {
   kind : Types.block_kind;
@@ -101,7 +101,23 @@ let head_stats t i =
   let h = t.heads.(i) in
   { segments = h.stat_segments; blocks = h.stat_blocks; syncs = h.stat_syncs }
 
-let render = function Bytes b -> b | Lazy f -> f ()
+(* Copy one payload into its slot [dst_off] of the batch buffer. *)
+let render_into ~bs payload buf dst_off =
+  let whole b =
+    if Bytes.length b <> bs then
+      invalid_arg "Log_writer: payload is not exactly one block";
+    (b, 0)
+  in
+  let src, off =
+    match payload with
+    | Bytes b -> whole b
+    | Lazy f -> whole (f ())
+    | Slice (b, off) ->
+        if off < 0 || off > Bytes.length b - bs then
+          invalid_arg "Log_writer: slice is not a whole block of its buffer";
+        (b, off)
+  in
+  Bytes.blit src off buf dst_off bs
 
 (* Write one head's queued batch (summary + payloads) as one sequential
    IO.  The batch is assembled in a single buffer: each payload is
@@ -113,13 +129,7 @@ let sync_head t i =
     let bs = t.layout.Layout.block_size in
     let pendings = List.rev h.batch in
     let buf = Bytes.create ((h.batch_count + 1) * bs) in
-    List.iteri
-      (fun k p ->
-        let b = render p.payload in
-        if Bytes.length b <> bs then
-          invalid_arg "Log_writer: payload is not exactly one block";
-        Bytes.blit b 0 buf ((k + 1) * bs) bs)
-      pendings;
+    List.iteri (fun k p -> render_into ~bs p.payload buf ((k + 1) * bs)) pendings;
     let entries =
       List.map
         (fun p ->

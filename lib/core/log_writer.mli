@@ -25,7 +25,15 @@
     ({!reserved_segment}); every summary records it, which is how
     roll-forward follows each head's chain across segment boundaries. *)
 
-type payload = Bytes of bytes | Lazy of (unit -> bytes)
+type payload =
+  | Bytes of bytes  (** exactly one block *)
+  | Slice of bytes * int
+      (** [Slice (buf, off)]: the block at byte offset [off] of a larger
+          buffer (a segment or run image), copied only when the batch is
+          assembled; [buf] must not change until then.  A slice that
+          does not lie wholly inside [buf] raises [Invalid_argument] at
+          batch-write time. *)
+  | Lazy of (unit -> bytes)  (** rendered at batch-write time *)
 
 type position = { pos_seg : int; pos_off : int; pos_next : int }
 (** One head's place in the log: current segment, next free slot, and the

@@ -96,34 +96,47 @@ let invalidate_range t addr n =
     invalidate t a
   done
 
-let read_range t ~block_size:bs ~fetch addr n =
-  let out = Bytes.create (n * bs) in
-  (* [lo, hi) is a maximal run of missing blocks: fetch it with one call
-     below so a cold multi-block read still costs a single device IO. *)
-  let fetch_run lo hi =
-    if hi > lo then begin
-      let count = hi - lo in
-      t.misses <- t.misses + count;
-      let b = fetch (addr + lo) count in
-      Bytes.blit b 0 out (lo * bs) (count * bs);
-      for k = lo to hi - 1 do
-        insert t (addr + k) (Bytes.sub b ((k - lo) * bs) bs)
-      done
-    end
-  in
-  let run = ref 0 in
-  for i = 0 to n - 1 do
-    match Hashtbl.find_opt t.table (addr + i) with
-    | Some node ->
-        fetch_run !run i;
-        run := i + 1;
-        t.hits <- t.hits + 1;
-        touch t node;
-        Bytes.blit node.data 0 out (i * bs) bs
-    | None -> ()
+(* [lo, hi) is a maximal run of missing blocks: fetch it with one call
+   below so a cold multi-block read still costs a single device IO.  The
+   cache keeps its own copy of each block, so the fetched buffer stays
+   the caller's. *)
+let fetch_run t ~block_size:bs ~fetch addr lo hi =
+  let count = hi - lo in
+  t.misses <- t.misses + count;
+  let b = fetch (addr + lo) count in
+  for k = lo to hi - 1 do
+    insert t (addr + k) (Bytes.sub b ((k - lo) * bs) bs)
   done;
-  fetch_run !run n;
-  out
+  b
+
+let rec any_cached t addr n =
+  n > 0 && (Hashtbl.mem t.table addr || any_cached t (addr + 1) (n - 1))
+
+let read_range t ~block_size:bs ~fetch addr n =
+  if n > 0 && not (any_cached t addr n) then
+    (* A complete miss: hand back the device's buffer as is. *)
+    fetch_run t ~block_size:bs ~fetch addr 0 n
+  else begin
+    let out = Bytes.create (n * bs) in
+    let fill lo hi =
+      if hi > lo then
+        Bytes.blit (fetch_run t ~block_size:bs ~fetch addr lo hi) 0 out
+          (lo * bs) ((hi - lo) * bs)
+    in
+    let run = ref 0 in
+    for i = 0 to n - 1 do
+      match Hashtbl.find_opt t.table (addr + i) with
+      | Some node ->
+          fill !run i;
+          run := i + 1;
+          t.hits <- t.hits + 1;
+          touch t node;
+          Bytes.blit node.data 0 out (i * bs) bs
+      | None -> ()
+    done;
+    fill !run n;
+    out
+  end
 
 let clear t =
   Hashtbl.reset t.table;

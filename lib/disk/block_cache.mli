@@ -20,7 +20,9 @@ val read_range :
     blocks, serving each from the cache when present and counting a hit
     or miss per block.  Maximal runs of missing blocks are fetched with a
     single [fetch addr count] call, so a cold segment-sized read still
-    costs one device IO; fetched blocks populate the cache. *)
+    costs one device IO; fetched blocks populate the cache (as copies).
+    The result belongs to the caller: on a complete miss it is the
+    buffer [fetch] returned, otherwise a fresh one. *)
 
 val put : t -> int -> bytes -> unit
 (** Record the new contents of a block just written.  The cache takes

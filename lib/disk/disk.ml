@@ -85,7 +85,8 @@ let check_range t addr n what =
 
 (* Enqueue the transfer on the time plane.  [Direct] services it on the
    spot — submission order, zero wait, the historical synchronous
-   timings; [Queued] leaves it for await/drain/pump. *)
+   timings — and logs no completion, since nothing pumps a Direct
+   device; [Queued] leaves it for await/drain/pump. *)
 let enqueue ?on_commit t ?now ~addr ~n () =
   let now =
     match now with
@@ -97,7 +98,7 @@ let enqueue ?on_commit t ?now ~addr ~n () =
   in
   let tag = Io_queue.submit ?on_commit t.queue ~now ~addr ~nblocks:n in
   (match t.mode with
-  | Io_queue.Direct -> ignore (Io_queue.await (Io_queue.Tag (t.queue, tag)))
+  | Io_queue.Direct -> Io_queue.service_now t.queue tag
   | Io_queue.Queued _ -> ());
   Io_queue.Tag (t.queue, tag)
 

@@ -25,7 +25,8 @@ type t = {
   mutable horizon : float;  (* completion time of the last serviced request *)
   mutable outstanding : req list;  (* submission order, oldest first *)
   mutable started : (int * float) list;
-      (* services committed since the last [pump]: (tag, finish) *)
+      (* services committed since the last [pump], newest first:
+         (tag, finish) *)
 }
 
 type ticket = Done | Tag of t * int | Join of ticket list
@@ -88,7 +89,7 @@ let commit t r =
     t.stats.Io_stats.queue_wait_s +. (start -. r.submit_s);
   t.head <- r.addr + r.nblocks;
   t.horizon <- start +. dur;
-  t.started <- t.started @ [ (r.tag, t.horizon) ];
+  t.started <- (r.tag, t.horizon) :: t.started;
   (* Deferred data plane last: a crash countdown tripping here must not
      leave the request half-accounted in the time plane. *)
   match r.on_commit with None -> () | Some f -> f ()
@@ -109,6 +110,17 @@ let await_tag t tag =
   done;
   t.horizon
 
+(* Direct-mode service: commit [tag] on the spot and keep no record of
+   it.  Nothing pumps a Direct device, so a logged completion would only
+   pile up until the next [pump] (a mode switch) handed back stale
+   history.  [tag]'s commit is the newest one, since [await_tag] stops as
+   soon as it is serviced. *)
+let service_now t tag =
+  ignore (await_tag t tag);
+  match t.started with
+  | (tg, _) :: rest when tg = tag -> t.started <- rest
+  | _ -> ()
+
 let rec await = function
   | Done -> neg_infinity
   | Tag (q, tag) -> await_tag q tag
@@ -126,7 +138,7 @@ let drain t =
    can schedule completion events. *)
 let pump t ~now =
   if t.outstanding <> [] && t.horizon <= now then ignore (service_next t);
-  let out = t.started in
+  let out = List.rev t.started in
   t.started <- [];
   out
 

@@ -54,14 +54,21 @@ val await : ticket -> float
     awaited request was serviced last, the queue horizon otherwise.
     [Done] yields [neg_infinity]. *)
 
+val service_now : t -> int -> unit
+(** [Direct]-mode service: commit the tag's request at once (in elevator
+    order, like {!await}) and log no completion for it, so {!pump} never
+    reports it.  Costs O(1) bookkeeping per IO however long the device
+    runs unpumped. *)
+
 val drain : t -> float
 (** Service every outstanding request; returns the final horizon.  The
     sync-barrier primitive. *)
 
 val pump : t -> now:float -> (int * float) list
 (** If the device is idle at [now], commit the elevator's next pick.
-    Returns every [(tag, finish)] committed since the last pump so the
-    caller can schedule completion events. *)
+    Returns every [(tag, finish)] committed since the last pump, in
+    commit order, so the caller can schedule completion events.
+    Commits made by {!service_now} are not reported. *)
 
 val outstanding_in : t -> lo:int -> hi:int -> int
 (** Number of not-yet-serviced requests with tag in [\[lo, hi)]. *)

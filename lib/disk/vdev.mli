@@ -29,7 +29,8 @@ type t = {
   block_size : int;
   nblocks : int;
   read_blocks : int -> int -> bytes;
-      (** [read_blocks addr n]: [n] contiguous blocks starting at [addr]. *)
+      (** [read_blocks addr n]: [n] contiguous blocks starting at [addr].
+          Like [submit_read], the buffer belongs to the caller. *)
   write_blocks : int -> bytes -> unit;
       (** [write_blocks addr b]: [Bytes.length b / block_size] contiguous
           blocks; length must be a positive multiple of [block_size]. *)
@@ -37,7 +38,10 @@ type t = {
       (** Write zeros: charged and crash-checked like [write_blocks]. *)
   submit_read : ?now:float -> int -> int -> Io_queue.ticket * bytes;
       (** Tagged read: data is produced at submit time, the ticket
-          resolves at the modelled completion. *)
+          resolves at the modelled completion.  The returned buffer
+          belongs to the caller, who may mutate or keep it: no layer
+          retains it or hands it out again, so a layer may pass its
+          lower device's buffer up unchanged. *)
   submit_write : ?now:float -> int -> bytes -> Io_queue.ticket;
       (** Tagged write: contents (and any armed crash) land at submit
           time, the ticket resolves at the modelled completion. *)

@@ -465,6 +465,92 @@ let test_vdev_read_length_validated () =
   | _ -> Alcotest.fail "oversized read must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* A complete range miss hands back the device's own buffer (no second
+   copy), and that buffer is the caller's: scribbling on it must not
+   reach the cache's copies. *)
+let test_cache_cold_range_owned_by_caller () =
+  let d = Disk.create wren in
+  let data = Helpers.bytes_of_pattern ~seed:3 (4 * 4096) in
+  Disk.write_blocks d 60 data;
+  let c = Block_cache.create ~capacity:16 in
+  let fetched = ref Bytes.empty in
+  let fetch addr n =
+    fetched := range_fetch d addr n;
+    !fetched
+  in
+  let got = Block_cache.read_range c ~block_size:4096 ~fetch 60 4 in
+  Alcotest.(check bool) "cold range is the fetched buffer" true (got == !fetched);
+  Bytes.fill got 0 (Bytes.length got) 'X';
+  Helpers.check_bytes "cached range unchanged" data
+    (Block_cache.read_range c ~block_size:4096 ~fetch 60 4);
+  Alcotest.(check int) "second read all hits" 4 (Block_cache.hits c);
+  (* The same through the cache vdev, whose lower device is a disk. *)
+  let cache = Lfs_disk.Vdev_cache.create ~capacity:16 (Vdev.of_disk d) in
+  let dev = Lfs_disk.Vdev_cache.vdev cache in
+  let b = Vdev.read_blocks dev 60 4 in
+  Bytes.fill b 0 (Bytes.length b) 'Y';
+  Helpers.check_bytes "vdev cache unchanged" data (Vdev.read_blocks dev 60 4);
+  Helpers.check_bytes "disk unchanged" data (Disk.read_blocks d 60 4)
+
+(* Minor plus major words allocated by [f], promotions not counted
+   twice.  A full major collection first keeps GC work left over from
+   earlier tests out of the window: a minor collection forced inside it
+   was seen to add ~38k words to the minor count. *)
+let words_allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.full_major ();
+  let w0 = words () in
+  f ();
+  words () -. w0
+
+(* Direct mode keeps no completion log: the bookkeeping of one IO must
+   not grow with the number of IOs the device has serviced before it. *)
+let test_direct_io_cost_flat () =
+  let d = Disk.create wren in
+  let b = block 'w' in
+  let io i =
+    let addr = i * 37 mod Disk.nblocks d in
+    if i mod 2 = 0 then Disk.write_block d addr b
+    else ignore (Disk.read_block d addr)
+  in
+  let ios = 20_000 and window = 100 in
+  let first = words_allocated (fun () -> for i = 0 to window - 1 do io i done) in
+  for i = window to ios - window - 1 do
+    io i
+  done;
+  let last =
+    words_allocated (fun () -> for i = ios - window to ios - 1 do io i done)
+  in
+  if last > 1.5 *. first then
+    Alcotest.failf "last %d IOs allocated %.0f words, first %d only %.0f"
+      window last window first
+
+(* A switch from Direct to Queued mode starts from an empty completion
+   log: the first pump reports exactly the queued writes, in C-LOOK
+   order, none of the Direct-mode history before them. *)
+let test_pump_after_direct_history () =
+  let d = Disk.create wren in
+  for i = 0 to 499 do
+    Disk.write_block d (i mod 61) (block 'h')
+  done;
+  (* The last Direct IO left the head just past block 11. *)
+  Disk.set_mode d (Io_queue.Queued (fun () -> 0.0));
+  let t200 = leaf_tag (Disk.submit_write d 200 (block 'a')) in
+  let t5 = leaf_tag (Disk.submit_write d 5 (block 'b')) in
+  let t90 = leaf_tag (Disk.submit_write d 90 (block 'c')) in
+  ignore (Disk.drain d);
+  let started = Disk.pump d ~now:0.0 in
+  Alcotest.(check (list int)) "exactly the queued writes, C-LOOK order"
+    [ t90; t200; t5 ] (List.map fst started);
+  let fins = List.map snd started in
+  Alcotest.(check bool) "finish times nondecreasing" true
+    (List.sort compare fins = fins);
+  Alcotest.(check (list int)) "log emptied by the pump" []
+    (List.map fst (Disk.pump d ~now:0.0))
+
 let suite =
   ( "disk",
     [
@@ -503,4 +589,7 @@ let suite =
       Alcotest.test_case "direct sync = submit+await" `Quick test_direct_sync_equals_submit_await;
       Alcotest.test_case "queued drain barrier" `Quick test_queued_drain_barrier;
       Alcotest.test_case "vdev read length validated" `Quick test_vdev_read_length_validated;
+      Alcotest.test_case "cold range owned by caller" `Quick test_cache_cold_range_owned_by_caller;
+      Alcotest.test_case "direct IO cost flat" `Quick test_direct_io_cost_flat;
+      Alcotest.test_case "pump after direct history" `Quick test_pump_after_direct_history;
     ] )

@@ -165,6 +165,43 @@ let test_wrong_payload_size_rejected () =
   | () -> Alcotest.fail "should reject non-block payload"
   | exception Invalid_argument _ -> ()
 
+(* A slice of a larger buffer writes exactly what the equivalent
+   one-block payload writes; a slice reaching outside its buffer is
+   rejected when the batch is assembled. *)
+let test_slice_payload () =
+  let bs = layout.Layout.block_size in
+  let block = Helpers.bytes_of_pattern ~seed:9 bs in
+  let run = Bytes.make (3 * bs) 'r' in
+  Bytes.blit block 0 run bs bs;
+  let write payload =
+    let env = mk_env () in
+    let addr =
+      Log_writer.append env.log ~kind:Types.Data ~ino:4 ~blockno:2 ~version:1
+        ~mtime:2.0 payload
+    in
+    Log_writer.sync env.log;
+    (addr, Disk.read_blocks env.disk (addr - 1) 2)
+  in
+  let a1, on_disk = write (Log_writer.Bytes block) in
+  let a2, from_slice = write (Log_writer.Slice (run, bs)) in
+  Alcotest.(check int) "same address" a1 a2;
+  Helpers.check_bytes "same summary and payload" on_disk from_slice;
+  List.iter
+    (fun (what, buf, off) ->
+      let env = mk_env () in
+      let (_ : Types.baddr) =
+        Log_writer.append env.log ~kind:Types.Data ~ino:4 ~blockno:0 ~version:0
+          ~mtime:1.0 (Log_writer.Slice (buf, off))
+      in
+      match Log_writer.sync env.log with
+      | () -> Alcotest.failf "%s slice must be rejected" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("overhanging", run, (2 * bs) + 1);
+      ("negative", run, -1);
+      ("short-buffer", Bytes.create (bs - 1), 0);
+    ]
+
 let test_addresses_never_reused_within_segment () =
   let env = mk_env () in
   let seen = Hashtbl.create 64 in
@@ -384,6 +421,7 @@ let suite =
       Alcotest.test_case "on_append accounting" `Quick test_on_append_accounting;
       Alcotest.test_case "lazy payload" `Quick test_lazy_payload_rendered_at_sync;
       Alcotest.test_case "payload size checked" `Quick test_wrong_payload_size_rejected;
+      Alcotest.test_case "slice payload" `Quick test_slice_payload;
       Alcotest.test_case "addresses unique" `Quick test_addresses_never_reused_within_segment;
       Alcotest.test_case "scan follows chain" `Quick test_scan_follows_chain_across_segments;
       Alcotest.test_case "scan rejects stale" `Quick test_scan_stops_at_stale_summary;
